@@ -207,8 +207,11 @@ class World:
         # The patch cache is a pure memo over repo contents; pickling it
         # would bloat `ExperimentWorld.cached` artifacts and every payload
         # shipped to pool workers.  Drop it and re-warm lazily on use.
+        # The digest memo is dropped too, so the bytes of a pickle never
+        # depend on whether digest() ran before it was taken.
         state = self.__dict__.copy()
         state["_patch_cache"] = {}
+        state.pop("_digest", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -264,12 +267,19 @@ class World:
         Two worlds with equal digests are interchangeable for every
         experiment; run manifests record this so a trace can be matched to
         the exact corpus that produced it.
+
+        Memoized on first call: nothing mutates ``labels`` once
+        :func:`build_world` returns, and ``/v1/manifest`` asks on every
+        request.
         """
-        h = hashlib.sha1()
-        for sha in sorted(self.labels):
-            h.update(sha.encode("ascii"))
-            h.update(b"1" if self.labels[sha].is_security else b"0")
-        return h.hexdigest()
+        digest = getattr(self, "_digest", None)
+        if digest is None:
+            h = hashlib.sha1()
+            for sha in sorted(self.labels):
+                h.update(sha.encode("ascii"))
+                h.update(b"1" if self.labels[sha].is_security else b"0")
+            digest = self._digest = h.hexdigest()
+        return digest
 
 
 def _draw_type(rng: np.random.Generator, dist: dict[int, float]) -> int:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.world import (
+    World,
     WorldConfig,
     _build_shard,
     _merge_shards,
@@ -215,6 +216,24 @@ class TestPickleDropsPatchCache:
         world = build_world(WorldConfig(n_commits=60, n_repos=3, seed=5))
         clone = pickle.loads(pickle.dumps(world))
         assert clone.build_stats == world.build_stats
+
+
+class TestDigestMemo:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memo_equals_fresh_recomputation(self, workers):
+        world = build_world(WorldConfig(n_commits=60, n_repos=3, seed=5), workers=workers)
+        fresh = World(world.repos, world.labels).digest()
+        assert world.digest() == fresh
+        assert world.digest() == fresh  # second call reads the memo
+        clone = pickle.loads(pickle.dumps(world))
+        assert "_digest" not in clone.__dict__
+        assert clone.digest() == fresh
+
+    def test_pickle_bytes_independent_of_memo(self):
+        world = build_world(WorldConfig(n_commits=60, n_repos=3, seed=5))
+        cold = pickle.dumps(world)
+        world.digest()
+        assert pickle.dumps(world) == cold
 
 
 class TestCommitDates:

@@ -1,9 +1,14 @@
 """Tests for Levenshtein distance."""
 
-from hypothesis import given, settings
+import string
+
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.features import levenshtein, normalized_levenshtein
+import repro.features.extractor as extractor_module
+from repro.features import extract_feature_matrix, levenshtein, normalized_levenshtein
+from repro.features.levenshtein import _MAX_LEN
 
 words = st.text(alphabet="abcd", max_size=15)
 
@@ -106,3 +111,88 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_matches_naive_dp_on_token_lists(self, a, b):
         assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+
+def _alphabet_pairs(max_size):
+    """Pairs of strings over one shared alphabet of 2-26 symbols."""
+    return st.integers(2, 26).flatmap(
+        lambda k: st.tuples(
+            st.text(alphabet=string.ascii_lowercase[:k], max_size=max_size),
+            st.text(alphabet=string.ascii_lowercase[:k], max_size=max_size),
+        )
+    )
+
+
+#: Multi-character tokens: a shared pool plus tokens only one side draws.
+_SHARED = ["if", "(", ")", "VAR", "NUM", "return", "->", "==", "{", "}"]
+_ONLY_A = ["memcpy", "<<=", "STR"]
+_ONLY_B = ["free", "!=", "goto"]
+
+#: A shared prefix or suffix long enough for truncation to cut into it.
+affix = st.text(alphabet="abcd", min_size=2, max_size=80)
+
+
+class TestBitParallelExactness:
+    """The bit-parallel recurrence agrees with the full-matrix DP."""
+
+    @given(pair=_alphabet_pairs(200))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_dp_long_inputs(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+    @given(a=st.lists(st.sampled_from(_SHARED + _ONLY_A), max_size=120),
+           b=st.lists(st.sampled_from(_SHARED + _ONLY_B), max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_multichar_tokens_one_sided_items(self, a, b):
+        assert levenshtein(a, b) == naive_levenshtein(a, b)
+        assert levenshtein(b, a) == naive_levenshtein(b, a)
+
+    @given(pair=_alphabet_pairs(200))
+    @settings(max_examples=200, deadline=None)
+    def test_unequal_lengths_both_orders(self, pair):
+        a, b = pair
+        assume(len(a) != len(b))
+        expected = naive_levenshtein(a, b)
+        assert levenshtein(a, b) == expected
+        assert levenshtein(b, a) == expected
+
+    @given(pair=_alphabet_pairs(60), pre=affix, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_before_prefix_stripping(self, pair, pre, data):
+        # The bound falls inside or just past the shared prefix.
+        a, b = pre + pair[0], pre + pair[1]
+        limit = data.draw(st.integers(1, len(pre) + 10))
+        assert levenshtein(a, b, max_len=limit) == naive_levenshtein(a[:limit], b[:limit])
+
+    @given(pair=_alphabet_pairs(60), suf=affix, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_before_suffix_stripping(self, pair, suf, data):
+        # Truncation cuts the shared suffix off (part of) the longer side,
+        # so it must not be stripped as common.
+        a, b = pair[0] + suf, pair[1] + suf
+        limit = data.draw(st.integers(1, max(len(a), len(b)) - 1))
+        assert levenshtein(a, b, max_len=limit) == naive_levenshtein(a[:limit], b[:limit])
+
+    def test_shared_suffix_cut_by_truncation(self):
+        a, b = "ab" + "z" * 10, "abc" + "z" * 10
+        assert levenshtein(a, b, max_len=5) == naive_levenshtein(a[:5], b[:5]) == 1
+
+    def test_default_bound_on_long_inputs(self):
+        rng = np.random.default_rng(0)
+        a = "".join(rng.choice(list("abc"), _MAX_LEN + 300))
+        b = a[:1500] + "".join(rng.choice(list("abc"), _MAX_LEN - 1100))
+        assert levenshtein(a, b) == naive_levenshtein(a[:_MAX_LEN], b[:_MAX_LEN])
+
+
+class TestFeatureMatrixParity:
+    def test_table1_matrix_matches_naive_oracle(self, experiment_world, monkeypatch):
+        world = experiment_world.world
+        patches = world.patches_for(world.all_shas())
+        fast = extract_feature_matrix(patches)
+        monkeypatch.setattr(
+            extractor_module,
+            "levenshtein",
+            lambda a, b, max_len=_MAX_LEN: naive_levenshtein(a[:max_len], b[:max_len]),
+        )
+        assert np.array_equal(extract_feature_matrix(patches), fast)
