@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..errors import ParseError
 from ..lang.lexer import code_tokens
 from ..lang.parser import parse_translation_unit
 from ..lang.tokens import TokenKind
@@ -31,7 +32,7 @@ __all__ = [
 def _parse_functions_cached(text: str) -> tuple[FunctionDef, ...]:
     try:
         unit = parse_translation_unit(text)
-    except Exception:  # the generators must never crash the world builder
+    except ParseError:  # unparseable text has no function spans to mutate
         return ()
     return tuple(unit.functions)
 

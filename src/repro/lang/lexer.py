@@ -23,26 +23,46 @@ __all__ = ["tokenize", "code_tokens", "split_tokens_by_line"]
 
 _OP_ALTERNATION = "|".join(re.escape(op) for op in OPERATORS)
 
+# Leading whitespace is folded into every match, so each token costs one
+# ``match`` call.  OTHER excludes the whitespace class: a whitespace-only
+# tail then matches nothing and ends the scan (no possessive quantifier is
+# needed, which keeps the pattern valid on Python 3.10).
 _MASTER = re.compile(
     r"""
-    (?P<WS>[ \t\r\f\v]+)
-  | (?P<LINECONT>\\\n)
-  | (?P<NEWLINE>\n)
-  | (?P<COMMENT>//[^\n]*|/\*(?s:.*?)(?:\*/|$))
-  | (?P<STRING>(?:u8|[LuU])?"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
-  | (?P<CHAR>(?:[LuU])?'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
-  | (?P<NUMBER>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[uUlLfF]*)
-  | (?P<IDENT>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<PUNCT>[()\[\]{};])
-  | (?P<OP>%s)
-  | (?P<HASH>\#)
-  | (?P<OTHER>.)
+    [ \t\r\f\v]*
+    (?:
+      (?P<LINECONT>\\\n)
+    | (?P<NEWLINE>\n)
+    | (?P<COMMENT>//[^\n]*|/\*(?s:.*?)(?:\*/|$))
+    | (?P<STRING>(?:u8|[LuU])?"(?:\\.|[^"\\\n])*(?:"|(?=\n)|$))
+    | (?P<CHAR>(?:[LuU])?'(?:\\.|[^'\\\n])*(?:'|(?=\n)|$))
+    | (?P<NUMBER>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[uUlLfF]*)
+    | (?P<IDENT>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<PUNCT>[()\[\]{};])
+    | (?P<OP>%s)
+    | (?P<HASH>\#)
+    | (?P<OTHER>[^ \t\r\f\v\n])
+    )
     """
     % _OP_ALTERNATION,
     re.VERBOSE,
 )
 
-_QUOTE_FIX = {"STRING": '"', "CHAR": "'"}
+_G = _MASTER.groupindex
+_LINECONT, _NEWLINE, _COMMENT, _STRING, _CHAR = (
+    _G["LINECONT"], _G["NEWLINE"], _G["COMMENT"], _G["STRING"], _G["CHAR"]
+)
+_NUMBER, _IDENT, _HASH, _OTHER = _G["NUMBER"], _G["IDENT"], _G["HASH"], _G["OTHER"]
+assert _LINECONT < _NEWLINE < _COMMENT < _STRING < _CHAR < _NUMBER < _IDENT < _HASH < _OTHER
+
+#: Token kind per group index, for the groups that map to one kind.
+_KIND_OF_GROUP: dict[int, TokenKind] = {
+    _NUMBER: TokenKind.NUMBER,
+    _G["PUNCT"]: TokenKind.PUNCT,
+    _G["OP"]: TokenKind.OPERATOR,
+    _HASH: TokenKind.PUNCT,  # '#' not at the start of a line
+    _OTHER: TokenKind.PUNCT,
+}
 
 
 def tokenize(
@@ -67,81 +87,69 @@ def tokenize(
     tokens: list[Token] = []
     append = tokens.append
     match = _MASTER.match
-    i = 0
+    new = tuple.__new__  # new(Token, fields) skips NamedTuple's Python-level __new__
+    keywords = ALL_KEYWORDS
+    kind_of = _KIND_OF_GROUP
+    KEYWORD, IDENTIFIER = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+    i = 0  # scan position
     line = 1
-    col = 1
-    n = len(source)
+    line_start = 0  # index of column 1 on the current line
     at_line_start = True  # only whitespace seen since the last newline
 
-    while i < n:
+    while True:
         m = match(source, i)
-        kind = m.lastgroup
-        text = m.group()
-        tline, tcol = line, col
-
-        if kind == "WS":
-            i = m.end()
-            col += len(text)
-            continue
-        if kind == "NEWLINE":
+        if m is None:  # end of input, or a whitespace-only tail
+            break
+        i = m.end()
+        g = m.lastindex
+        if g > _CHAR:  # NUMBER, IDENT, PUNCT, OP, HASH, OTHER
+            text = m.group(g)
+            if g == _IDENT:
+                kind = KEYWORD if text in keywords else IDENTIFIER
+            elif g == _HASH and at_line_start:
+                start = i - 1
+                i = _end_of_directive(source, start)
+                text = source[start:i]
+                append(new(Token, (TokenKind.PREPROCESSOR, text, line, start - line_start + 1)))
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = i  # a continued directive's closing '\n' is column 1
+                at_line_start = False
+                continue
+            else:
+                if strict and g == _OTHER:
+                    col = i - line_start  # of the one-character token ending at i
+                    raise LexError(f"unexpected character {text!r} at line {line}, col {col}")
+                kind = kind_of[g]
+            append(new(Token, (kind, text, line, i - len(text) - line_start + 1)))
+            at_line_start = False
+        elif g == _NEWLINE:
             if keep_newlines:
-                append(Token(TokenKind.NEWLINE, "\n", tline, tcol))
-            i = m.end()
+                append(new(Token, (TokenKind.NEWLINE, "\n", line, i - line_start)))
             line += 1
-            col = 1
+            line_start = i
             at_line_start = True
-            continue
-        if kind == "LINECONT":
-            i = m.end()
-            line += 1
-            col = 1
-            continue
-        if kind == "COMMENT":
+        elif g == _COMMENT:
+            text = m.group(g)
             if keep_comments:
-                append(Token(TokenKind.COMMENT, text, tline, tcol))
+                append(new(Token, (TokenKind.COMMENT, text, line, i - len(text) - line_start + 1)))
             newlines = text.count("\n")
             if newlines:
                 line += newlines
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-            i = m.end()
-            continue
-        if kind == "HASH" and at_line_start:
-            j = _end_of_directive(source, i)
-            text = source[i:j]
-            append(Token(TokenKind.PREPROCESSOR, text, tline, tcol))
-            newlines = text.count("\n")
-            line += newlines
-            col = 1 if newlines else col + len(text)
-            i = j
-            at_line_start = False
-            continue
-
-        at_line_start = False
-        if kind == "STRING" or kind == "CHAR":
-            quote = _QUOTE_FIX[kind]
+                line_start = i - len(text) + text.rfind("\n") + 1
+        elif g == _LINECONT:
+            line += 1
+            line_start = i
+        else:  # STRING or CHAR; an unterminated literal is closed implicitly
+            text = m.group(g)
+            col = i - len(text) - line_start + 1
+            quote = '"' if g == _STRING else "'"
             if not text.endswith(quote) or len(text.lstrip("Lu8U")) < 2:
-                text_fixed = text + quote  # close unterminated literal
-            else:
-                text_fixed = text
-            tok_kind = TokenKind.STRING if kind == "STRING" else TokenKind.CHAR
-            append(Token(tok_kind, text_fixed, tline, tcol))
-        elif kind == "NUMBER":
-            append(Token(TokenKind.NUMBER, text, tline, tcol))
-        elif kind == "IDENT":
-            tok_kind = TokenKind.KEYWORD if text in ALL_KEYWORDS else TokenKind.IDENTIFIER
-            append(Token(tok_kind, text, tline, tcol))
-        elif kind == "PUNCT":
-            append(Token(TokenKind.PUNCT, text, tline, tcol))
-        elif kind == "OP":
-            append(Token(TokenKind.OPERATOR, text, tline, tcol))
-        else:  # HASH not at line start, or OTHER
-            if strict and kind == "OTHER":
-                raise LexError(f"unexpected character {text!r} at line {line}, col {col}")
-            append(Token(TokenKind.PUNCT, text, tline, tcol))
-        i = m.end()
-        col += len(text)
+                text += quote
+            kind = TokenKind.STRING if g == _STRING else TokenKind.CHAR
+            append(new(Token, (kind, text, line, col)))
+            at_line_start = False
 
     return tokens
 
@@ -163,8 +171,9 @@ def _end_of_directive(source: str, i: int) -> int:
 
 
 def code_tokens(source: str) -> list[Token]:
-    """Tokenize and keep only code tokens (no comments or newlines)."""
-    return [t for t in tokenize(source) if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE)]
+    """Tokenize and keep only code tokens (no comments or newlines): what
+    :func:`tokenize` returns with its defaults."""
+    return tokenize(source)
 
 
 def split_tokens_by_line(tokens: list[Token]) -> dict[int, list[Token]]:

@@ -9,7 +9,10 @@ extracts from LLVM ASTs to locate ``if`` statements (§III-C-2).
 Robustness over completeness: constructs the grammar does not model
 (templates, K&R definitions, GNU attributes) are skipped as opaque regions
 rather than raising, so real-world files still parse.  :class:`ParseError`
-is reserved for internal invariant violations in ``strict`` mode.
+is raised when a body is not brace-delimited, when input ends where a
+statement is required, and when statements nest deeper than
+:data:`MAX_NESTING` (instead of exhausting the interpreter's recursion
+limit).
 """
 
 from __future__ import annotations
@@ -39,33 +42,38 @@ from .ast_nodes import (
 from .lexer import tokenize
 from .tokens import TYPE_KEYWORDS, Token, TokenKind
 
-__all__ = ["parse_translation_unit", "parse_function_body", "find_if_statements"]
+__all__ = ["parse_translation_unit", "parse_function_body", "find_if_statements", "MAX_NESTING"]
 
-_OPEN_FOR_CLOSE = {")": "(", "]": "[", "}": "{"}
+#: Deepest statement nesting the parser accepts.  Each level costs at most
+#: two interpreter frames, so input nested deeper raises ParseError well
+#: before Python's default recursion limit of 1000 is reached, also when
+#: the parser is entered from a deep call stack.
+MAX_NESTING = 200
+
+_CLOSE_FOR_OPEN = {"(": ")", "[": "]", "{": "}"}
+_KEYWORD = TokenKind.KEYWORD
+_IDENTIFIER = TokenKind.IDENTIFIER
 
 
 def parse_translation_unit(source: str, path: str = "") -> TranslationUnit:
     """Parse a full C/C++ file into a :class:`TranslationUnit`."""
-    tokens = [
-        t
-        for t in tokenize(source)
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.PREPROCESSOR)
-    ]
-    parser = _Parser(tokens, source)
+    parser = _Parser(_code_tokens(source), source)
     return parser.parse_unit(path)
 
 
 def parse_function_body(source: str) -> BlockStmt:
     """Parse a brace-delimited block (``{...}``) in isolation."""
-    tokens = [
-        t
-        for t in tokenize(source)
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.PREPROCESSOR)
-    ]
-    parser = _Parser(tokens, source)
+    parser = _Parser(_code_tokens(source), source)
     if not parser.at("{"):
         raise ParseError("function body must start with '{'")
     return parser.parse_block()
+
+
+def _code_tokens(source: str) -> list[Token]:
+    """Tokens the parser consumes: no preprocessor lines (``tokenize``
+    already drops comments and newlines by default)."""
+    directive = TokenKind.PREPROCESSOR
+    return [t for t in tokenize(source) if t.kind is not directive]
 
 
 def find_if_statements(unit: TranslationUnit) -> list[IfStmt]:
@@ -78,18 +86,30 @@ def find_if_statements(unit: TranslationUnit) -> list[IfStmt]:
 
 
 class _Parser:
-    """Token cursor with the recursive-descent routines."""
+    """Token cursor with the recursive-descent routines.
+
+    ``texts`` parallels ``tokens`` (the hot loops compare token texts and
+    walk indices in locals), and ``source_lines`` splits the source at
+    ``'\\n'`` only: the lexer counts no other line break, so token lines
+    index it directly.
+    """
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
+        self.texts = [t.text for t in tokens]
+        self.n = len(tokens)
         self.pos = 0
-        self.source_lines = source.splitlines()
+        self.depth = 0  # statements currently open (see MAX_NESTING)
+        # A CRLF break drops its '\r' with the '\n', as str.splitlines
+        # did; every other character stays on its line.
+        self.line_count = source.count("\n") + (not source.endswith("\n")) or 1
+        self.source_lines = source.replace("\r\n", "\n").split("\n")
 
     # ---- cursor helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
-        if idx >= len(self.tokens):
+        if idx >= self.n:
             return None
         return self.tokens[idx]
 
@@ -99,12 +119,12 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        pos = self.pos
+        return pos < self.n and self.texts[pos] == text
 
     def at_keyword(self, name: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == name
+        return tok is not None and tok.kind is _KEYWORD and tok.text == name
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -114,7 +134,7 @@ class _Parser:
         return self.next()
 
     def eof(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos >= self.n
 
     def skip_balanced(self, open_text: str) -> tuple[Token, Token]:
         """Consume from an *open_text* token through its matching close.
@@ -123,42 +143,45 @@ class _Parser:
         and returns the final token as the close.
         """
         open_tok = self.expect(open_text)
-        close_text = {"(": ")", "[": "]", "{": "}"}[open_text]
+        close_text = _CLOSE_FOR_OPEN[open_text]
+        texts = self.texts
+        n = self.n
+        i = self.pos
         depth = 1
-        last = open_tok
-        while not self.eof():
-            tok = self.next()
-            last = tok
-            if tok.text == open_text:
+        while i < n:
+            text = texts[i]
+            i += 1
+            if text == open_text:
                 depth += 1
-            elif tok.text == close_text:
+            elif text == close_text:
                 depth -= 1
                 if depth == 0:
-                    return open_tok, tok
-        return open_tok, last
+                    break
+        self.pos = i
+        return open_tok, self.tokens[i - 1]
 
     def text_between(self, first: Token, last: Token) -> str:
         """Exact source text from *first* through *last* (token-inclusive)."""
+        lines = self.source_lines
         if first.line == last.line:
-            line = self.source_lines[first.line - 1]
+            line = lines[first.line - 1]
             return line[first.col - 1 : last.col - 1 + len(last.text)]
-        parts = [self.source_lines[first.line - 1][first.col - 1 :]]
-        parts.extend(self.source_lines[ln - 1] for ln in range(first.line + 1, last.line))
-        parts.append(self.source_lines[last.line - 1][: last.col - 1 + len(last.text)])
+        parts = [lines[first.line - 1][first.col - 1 :]]
+        parts.extend(lines[first.line : last.line - 1])
+        parts.append(lines[last.line - 1][: last.col - 1 + len(last.text)])
         return "\n".join(parts)
 
     # ---- top level ------------------------------------------------------
 
     def parse_unit(self, path: str) -> TranslationUnit:
         functions: list[FunctionDef] = []
-        last_line = self.source_lines and len(self.source_lines) or 1
         while not self.eof():
             fn = self._try_function_def()
             if fn is not None:
                 functions.append(fn)
                 continue
             self._skip_top_level_item()
-        return TranslationUnit(1, last_line, functions=functions, path=path)
+        return TranslationUnit(1, self.line_count, functions=functions, path=path)
 
     def _try_function_def(self) -> FunctionDef | None:
         """Parse a function definition starting at the cursor, or return None.
@@ -253,52 +276,51 @@ class _Parser:
     def parse_block(self) -> BlockStmt:
         open_tok = self.expect("{")
         stmts: list[Stmt] = []
-        while not self.eof() and not self.at("}"):
+        texts = self.texts
+        n = self.n
+        while self.pos < n and texts[self.pos] != "}":
             stmts.append(self.parse_statement())
-        close_tok = self.next() if not self.eof() else self.tokens[-1]
+        if self.pos < n:
+            close_tok = self.tokens[self.pos]
+            self.pos += 1
+        else:
+            close_tok = self.tokens[-1]
         return BlockStmt(open_tok.line, close_tok.line, stmts=stmts)
 
     def parse_statement(self) -> Stmt:
-        tok = self.peek()
-        assert tok is not None
-        if tok.text == "{":
-            return self.parse_block()
-        if tok.kind is TokenKind.KEYWORD:
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do,
-                "for": self._parse_for,
-                "switch": self._parse_switch,
-                "return": self._parse_return,
-                "goto": self._parse_goto,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-                "case": self._parse_case,
-                "default": self._parse_case,
-                "else": None,  # dangling else: treat as opaque
-            }.get(tok.text, self._parse_simple)
-            if handler is None:
-                return self._parse_simple()
-            return handler()
-        if tok.text == ";":
-            self.next()
-            return NullStmt(tok.line, tok.line)
-        # Label: 'ident :' not followed by ':' (avoid '::').
-        nxt = self.peek(1)
-        if (
-            tok.kind is TokenKind.IDENTIFIER
-            and nxt is not None
-            and nxt.text == ":"
-            and (self.peek(2) is None or self.peek(2).text != ":")
+        pos = self.pos
+        if pos >= self.n:
+            raise ParseError("unexpected end of input: statement expected")
+        tok = self.tokens[pos]
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise ParseError(f"statements nested deeper than {MAX_NESTING} at line {tok.line}")
+        self.depth = depth + 1
+        text = tok.text
+        if text == "{":
+            stmt = self.parse_block()
+        elif tok.kind is _KEYWORD:
+            stmt = self._KEYWORD_STATEMENTS.get(text, _Parser._parse_simple)(self)
+        elif text == ";":
+            self.pos = pos + 1
+            stmt = NullStmt(tok.line, tok.line)
+        elif (
+            # Label: 'ident :' not followed by ':' (avoid '::').
+            tok.kind is _IDENTIFIER
+            and pos + 1 < self.n
+            and self.texts[pos + 1] == ":"
+            and (pos + 2 >= self.n or self.texts[pos + 2] != ":")
         ):
-            self.next()
-            self.next()
+            self.pos = pos + 2
             if self.eof() or self.at("}"):
-                return LabelStmt(tok.line, tok.line, name=tok.text, stmt=None)
-            inner = self.parse_statement()
-            return LabelStmt(tok.line, inner.end_line, name=tok.text, stmt=inner)
-        return self._parse_simple()
+                stmt = LabelStmt(tok.line, tok.line, name=text, stmt=None)
+            else:
+                inner = self.parse_statement()
+                stmt = LabelStmt(tok.line, inner.end_line, name=text, stmt=inner)
+        else:
+            stmt = self._parse_simple()
+        self.depth = depth
+        return stmt
 
     def _parse_paren_expr(self) -> tuple[Expr, Token, Token]:
         """Parse ``( ... )`` returning (expr, open_token, close_token)."""
@@ -440,31 +462,55 @@ class _Parser:
 
     def _parse_simple(self) -> Stmt:
         """Expression or declaration statement: consume to ';' at depth 0."""
-        first = self.next()
-        last = first
-        depth = 0
-        is_decl = first.kind is TokenKind.KEYWORD and first.text in TYPE_KEYWORDS
-        if first.kind is TokenKind.IDENTIFIER:
-            nxt = self.peek()
+        tokens = self.tokens
+        texts = self.texts
+        n = self.n
+        i = self.pos
+        first = tokens[i]
+        i += 1
+        is_decl = first.kind is _KEYWORD and first.text in TYPE_KEYWORDS
+        if first.kind is _IDENTIFIER and i < n:
+            nxt = tokens[i]
             # 'Type name ...' or 'Type *name ...' heuristics.
-            if nxt is not None and (
-                nxt.kind is TokenKind.IDENTIFIER
-                or (nxt.text == "*" and self.peek(1) is not None and self.peek(1).kind is TokenKind.IDENTIFIER)
+            if nxt.kind is _IDENTIFIER or (
+                nxt.text == "*" and i + 1 < n and tokens[i + 1].kind is _IDENTIFIER
             ):
                 is_decl = True
-        while not self.eof():
-            if depth == 0 and self.at(";"):
-                self.next()
-                break
-            if depth == 0 and self.at("}"):
-                break  # unterminated statement at block end
-            tok = self.next()
-            last = tok
-            if tok.text in ("(", "[", "{"):
+        last = i - 1
+        depth = 0
+        while i < n:
+            text = texts[i]
+            if depth == 0:
+                if text == ";":
+                    i += 1
+                    break
+                if text == "}":
+                    break  # unterminated statement at block end
+            last = i
+            i += 1
+            if text == "(" or text == "[" or text == "{":
                 depth += 1
-            elif tok.text in (")", "]", "}"):
-                depth = max(0, depth - 1)
-        text = self.text_between(first, last)
+            elif depth and (text == ")" or text == "]" or text == "}"):
+                depth -= 1
+        self.pos = i
+        last_tok = tokens[last]
+        text = self.text_between(first, last_tok)
         if is_decl:
-            return DeclStmt(first.line, last.line, text=text)
-        return ExprStmt(first.line, last.line, text=text)
+            return DeclStmt(first.line, last_tok.line, text=text)
+        return ExprStmt(first.line, last_tok.line, text=text)
+
+    #: Statement keyword -> handler; any other keyword starts a simple
+    #: statement (a dangling ``else`` is treated as opaque).
+    _KEYWORD_STATEMENTS = {
+        "if": _parse_if,
+        "while": _parse_while,
+        "do": _parse_do,
+        "for": _parse_for,
+        "switch": _parse_switch,
+        "return": _parse_return,
+        "goto": _parse_goto,
+        "break": _parse_break,
+        "continue": _parse_continue,
+        "case": _parse_case,
+        "default": _parse_case,
+    }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ParseError
 from ..lang.ast_nodes import IfStmt, walk
 from ..lang.parser import parse_translation_unit
 from ..patch.model import FileDiff
@@ -57,7 +58,7 @@ def locate_ifs(source: str, lines: set[int], allow_function_fallback: bool = Tru
         return []
     try:
         unit = parse_translation_unit(source)
-    except Exception:
+    except ParseError:
         return []
     direct: list[LocatedIf] = []
     fallback: list[LocatedIf] = []

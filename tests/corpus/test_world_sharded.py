@@ -11,12 +11,15 @@ commit weekdays.
 from __future__ import annotations
 
 import datetime
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import TINY
 from repro.corpus.world import (
     World,
     WorldConfig,
@@ -234,6 +237,21 @@ class TestDigestMemo:
         cold = pickle.dumps(world)
         world.digest()
         assert pickle.dumps(world) == cold
+
+
+#: World digests the benchmark checks every TINY build against.
+_EXPECTED_BUILD = Path(__file__).resolve().parents[2] / "perfbench" / "expected" / "build.json"
+
+
+class TestAbsoluteDigest:
+    """Serial/parallel parity cannot see a change that moves both sides;
+    the recorded digests can (e.g. a parser shortcut that diverges from
+    the full parse on a few generated file texts)."""
+
+    @pytest.mark.parametrize("seed", [2021, 2022])
+    def test_tiny_digest_matches_recorded_value(self, seed):
+        expected = json.loads(_EXPECTED_BUILD.read_text())["worlds"][str(seed)]["world_digest"]
+        assert build_world(TINY.world_config(seed)).digest() == expected
 
 
 class TestCommitDates:

@@ -1,9 +1,16 @@
 """Tests for the C/C++ lexer."""
 
+import itertools
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexError
 from repro.lang import Token, TokenKind, code_tokens, split_tokens_by_line, tokenize
+
+from .reference import reference_tokenize
 
 
 def kinds(source, **kw):
@@ -173,3 +180,107 @@ class TestHelpers:
         assert tok.is_identifier()
         assert tok.is_identifier("foo")
         assert not tok.is_identifier("bar")
+
+
+class TestTokenValue:
+    """``Token`` is an immutable value: equal, hashable and printable by
+    its four fields."""
+
+    def test_defaults(self):
+        tok = Token(TokenKind.IDENTIFIER, "foo")
+        assert (tok.kind, tok.text, tok.line, tok.col) == (TokenKind.IDENTIFIER, "foo", 0, 0)
+
+    def test_equal_by_value(self):
+        a = Token(TokenKind.NUMBER, "42", 3, 7)
+        assert a == Token(TokenKind.NUMBER, "42", 3, 7)
+        assert a != Token(TokenKind.NUMBER, "42", 3, 8)
+        assert a != Token(TokenKind.IDENTIFIER, "42", 3, 7)
+
+    def test_hashable(self):
+        a = Token(TokenKind.PUNCT, ";", 1, 1)
+        assert len({a, Token(TokenKind.PUNCT, ";", 1, 1), Token(TokenKind.PUNCT, ";", 2, 1)}) == 2
+        assert {a: 1}[Token(TokenKind.PUNCT, ";", 1, 1)] == 1
+
+    def test_immutable(self):
+        tok = Token(TokenKind.IDENTIFIER, "foo", 1, 1)
+        with pytest.raises(AttributeError):
+            tok.text = "bar"
+        with pytest.raises(AttributeError):
+            tok.extra = 1
+
+    def test_keyword_construction(self):
+        tok = Token(kind=TokenKind.OPERATOR, text="->", col=4, line=2)
+        assert tok == Token(TokenKind.OPERATOR, "->", 2, 4)
+
+    def test_repr(self):
+        tok = Token(TokenKind.IDENTIFIER, "foo", 2, 5)
+        assert repr(tok) == "Token(kind=<TokenKind.IDENTIFIER: 'identifier'>, text='foo', line=2, col=5)"
+
+    def test_pickle_round_trip(self):
+        tok = Token(TokenKind.STRING, '"s"', 9, 3)
+        assert pickle.loads(pickle.dumps(tok)) == tok
+
+    def test_lexed_tokens_equal_constructed_ones(self):
+        assert tokenize("x") == [Token(TokenKind.IDENTIFIER, "x", 1, 1)]
+        assert type(tokenize("x")[0]) is Token
+
+
+#: C-like fragments: literal prefixes, comment and string edges, every
+#: whitespace and line-break class the lexer treats specially, non-ASCII.
+_FRAGMENTS = [
+    "int", "char", "x", "foo_1", "$v", "L", "u", "U", "u8", "0", "0x1F", "1.5e-3", "3.", ".5", "10UL",
+    '"', "'", '"ab"', "'c'", 'L"w"', "u8\"s\"", "U'x'", "\\", "\\\n", "\\ \n",
+    "/*", "*/", "//", "/", "*", "#", "#include <a.h>", "#define M(a) \\\n  (a)",
+    "(", ")", "{", "}", "[", "]", ";", ",", "->", "->*", "::", "...", "..", "<<=", ">>", "&&", "!", "?", ":",
+    " ", "  ", "\t", "\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85", "\u2028", "\xa0",
+    "`", "@", "\u00e9", "\u65e5", "\U0001f600",
+]
+
+_C_LIKE = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join)
+
+
+def _lex(fn, source, flags):
+    try:
+        return fn(source, *flags)
+    except LexError as exc:
+        return ("LexError", str(exc))
+
+
+class TestReferenceParity:
+    """The one-match-per-token scanner returns exactly what the reference
+    scanner loop (``tests/lang/reference.py``) returns, under every flag
+    combination: tokens, positions, and ``LexError`` messages."""
+
+    FLAGS = list(itertools.product((False, True), repeat=3))  # comments, newlines, strict
+
+    @settings(max_examples=300, deadline=None)
+    @given(_C_LIKE)
+    def test_c_like_text(self, source):
+        for flags in self.FLAGS:
+            assert _lex(tokenize, source, flags) == _lex(reference_tokenize, source, flags)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_arbitrary_text(self, source):
+        for flags in self.FLAGS:
+            assert _lex(tokenize, source, flags) == _lex(reference_tokenize, source, flags)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "",
+            "   ",
+            "x   \t\f\v\r",
+            "a\n  \n",
+            "#if X\n  # define Y \\\n 1\nint a; # b\n",
+            "#define A /* spans\nlines */ x\n",
+            '"open\nL"wide\\\nu8"q',
+            "'c\n'\\",
+            "/* never closed\n x",
+            "a \f b \v c \r d \x1c e \u2028 f",
+            "int \u00e9t\u00e9 = `x`;  ",
+        ],
+    )
+    def test_edge_cases(self, source):
+        for flags in self.FLAGS:
+            assert _lex(tokenize, source, flags) == _lex(reference_tokenize, source, flags)
